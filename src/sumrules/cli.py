@@ -1,7 +1,8 @@
 """Command line: JSON specs in, JSON reports out, fully seed-deterministic.
 
-Exit codes: 0 success, 1 failing selftest invariant, 2 unparseable input,
-3 enumeration cap exceeded.
+Exit codes: 0 success, 1 failing selftest invariant, 2 unusable input
+(unparseable, or outside what the command accepts), 3 enumeration cap
+exceeded.  Any other exception is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio
-from .errors import (CapExceededError, OrderMembershipError, SpecFormatError,
+from .errors import (CapExceededError, InvalidInputError, SpecFormatError,
                      UnsampledPointError)
 from .hopf import classify_primitivity, coderivative_at_identity
-from .interference import interference, probe_order
+from .interference import ZERO_FLOOR_FACTOR, interference, probe_order
 from .measures import Measure
 from .polarization import decompose, polarize
 from .sampling import sample_family
@@ -174,10 +175,7 @@ def _cmd_slits(cfg: RunConfig) -> int:
     scenario = jsonio.scenario_from_json(
         jsonio.load_json_file(cfg.scenario_path))
     tol = cfg.tol if cfg.tol is not None else 1e-9
-    try:
-        report = run_sum_rules(scenario, tol=tol)
-    except ValueError as exc:
-        raise SpecFormatError(f"slits: {exc}") from exc
+    report = run_sum_rules(scenario, tol=tol)
     _emit(cfg, jsonio.sum_rule_report_to_json(report))
     if cfg.csv_path:
         _write_slits_csv(cfg.csv_path, report)
@@ -226,8 +224,7 @@ def dispatch(cfg: RunConfig) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SpecFormatError, UnsampledPointError, OrderMembershipError,
-            ValueError) as exc:
+    except (InvalidInputError, UnsampledPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -239,9 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "polarization, coderivatives, and slit experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, out=True):
+    zero_test = (
+        "tolerance of the zero test: with doubles an interference or "
+        f"coderivative value I counts as zero when |I| <= TOL + "
+        f"{ZERO_FLOOR_FACTOR}*u*sum|terms| (u = 2^-53, the terms are the "
+        "signed subset evaluations); default 1e-9 on the approx backend, "
+        "exact zero on the exact backend")
+
+    def common(p, *, out=True, tol_help=None):
         p.add_argument("--backend", choices=jsonio.BACKENDS, default="exact")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--seed", type=int, default=0)
         if out:
             p.add_argument("--out", dest="out_path", default=None)
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", dest="measure_path", required=True)
     p.add_argument("--n", type=int, default=None,
                    help="largest order to probe (default 4)")
-    common(p)
+    common(p, tol_help=zero_test)
 
     p = sub.add_parser("decompose",
                        help="split a measure into homogeneous components")
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primitivity", help="classify primitivity order")
     p.add_argument("--fn", dest="fn_path", required=True)
     p.add_argument("--kmax", dest="k_max", type=int, default=None)
-    common(p)
+    common(p, tol_help=zero_test)
 
     p = sub.add_parser("slits", help="run slit-scenario sum rules")
     p.add_argument("--scenario", dest="scenario_path", required=True)

@@ -197,10 +197,3 @@ def characteristic_function(subset: SubsetMask) -> GroupElement:
 def ones(space: HistorySpace) -> GroupElement:
     """The constant-one function on histories (the algebra unit)."""
     return characteristic_function(space.full())
-
-
-def require_same_space(*items) -> HistorySpace:
-    spaces = {item.space for item in items}
-    if len(spaces) != 1:
-        raise SpaceMismatchError("values live in different history spaces")
-    return next(iter(spaces))

@@ -24,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .errors import InvalidInputError
 from .histories import GroupElement, HistorySpace
+from .interference import signed_subset_sum, vanishes
 from .measures import PolynomialMeasure
 from .sampling import sample_family
-from .scalars import Scalar, is_exact, is_zero, stable_sum
+from .scalars import Scalar, is_exact, is_zero
 
 GroupFunction = Callable[[GroupElement], Scalar]
 
@@ -75,19 +77,11 @@ def coderivative(f: GroupFunction, k: int, base: GroupElement,
                  increments: Sequence[GroupElement]) -> Scalar:
     """k-th discrete derivative of f at ``base`` along the increments."""
     if k < 1:
-        raise ValueError("coderivative order must be >= 1")
+        raise InvalidInputError("coderivative order must be >= 1")
     if len(increments) != k:
-        raise ValueError(f"order-{k} coderivative takes {k} increments")
-    parts = []
-    for bits in range(1 << k):
-        size = bin(bits).count("1")
-        point = base
-        for i in range(k):
-            if bits >> i & 1:
-                point = point + increments[i]
-        sign = 1 if (k - size) % 2 == 0 else -1
-        parts.append(sign * f(point))
-    return stable_sum(parts)
+        raise InvalidInputError(
+            f"order-{k} coderivative takes {k} increments")
+    return signed_subset_sum(f, base, increments).value
 
 
 def coderivative_at_identity(f: GroupFunction, k: int,
@@ -130,7 +124,7 @@ def classify_primitivity(f: GroupFunction, k_max: int,
     the identity).  Anything else is probed on sampled argument tuples.
     """
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise InvalidInputError("k_max must be >= 1")
     if isinstance(f, PolynomialMeasure):
         return _classify_polynomial(f, k_max)
     resolved = _space_of(f, space)
@@ -140,9 +134,9 @@ def classify_primitivity(f: GroupFunction, k_max: int,
     for k in range(1, k_max + 1):
         found = []
         for tup in samples(k):
-            v = coderivative_at_identity(f, k, tup, resolved)
-            if not is_zero(v, tol):
-                found.append((tup, v))
+            total = signed_subset_sum(f, resolved.zero(), tup)
+            if not vanishes(total.value, total.magnitude, tol):
+                found.append((tup, total.value))
                 if len(found) >= 3:
                     break
         if found:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence
 
-from .errors import CapExceededError, OrderMembershipError
+from .errors import CapExceededError, InvalidInputError, OrderMembershipError
 from .histories import GroupElement, HistorySpace
-from .interference import interference_value
+from .interference import interference_value, signed_subset_sum
 from .measures import ClosureMeasure, Measure, PolynomialMeasure
 from .scalars import Scalar, exact_div, is_exact, is_zero, stable_sum
 
@@ -136,31 +136,30 @@ def _multiset_multiplicity(idx: tuple[int, ...]) -> int:
 
 def polarize(mu: Measure, n: int,
              args: Sequence[GroupElement]) -> Scalar:
-    """Signed average over sign flips; the order-n form of the measure."""
+    """Signed average over sign flips; the order-n form of the measure.
+
+    The sign-flipped points z_1 a_1 + ... + z_n a_n are the subset points
+    of the base -(a_1 + ... + a_n) with increments 2 a_i (the subset is
+    where z_i = +1), and the sign (-1)^(#negative signs) is the kernel's
+    (-1)^(n-|S|): the sum is the order-n coderivative at that base.
+    """
     if n < 1:
-        raise ValueError("polarization order must be >= 1")
+        raise InvalidInputError("polarization order must be >= 1")
     if len(args) != n:
-        raise ValueError(f"polarization of order {n} takes {n} arguments")
-    parts = []
-    for signs in product((1, -1), repeat=n):
-        point = mu.space.zero()
-        negatives = 0
-        for s, a in zip(signs, args):
-            if s > 0:
-                point = point + a
-            else:
-                point = point - a
-                negatives += 1
-        value = mu(point)
-        parts.append(value if negatives % 2 == 0 else -value)
-    return exact_div(stable_sum(parts), (2 ** n) * math.factorial(n))
+        raise InvalidInputError(
+            f"polarization of order {n} takes {n} arguments")
+    total = args[0]
+    for a in args[1:]:
+        total = total + a
+    flips = signed_subset_sum(mu, -total, [2 * a for a in args])
+    return exact_div(flips.value, (2 ** n) * math.factorial(n))
 
 
 def project(mu: Measure, n: int,
             table_cap: int = DEFAULT_TABLE_CAP) -> SymmetricForm:
     """Tabulate the order-n polarization on all non-decreasing basis tuples."""
     if n < 1:
-        raise ValueError("projection order must be >= 1")
+        raise InvalidInputError("projection order must be >= 1")
     if n > MAX_FORM_ORDER:
         raise CapExceededError(f"form order capped at {MAX_FORM_ORDER}")
     m = mu.space.size
@@ -233,7 +232,7 @@ def decompose(mu: Measure, n: int, tol: float | None = None,
     subtractions amplify floating-point error, so a warning is emitted.
     """
     if n < 1:
-        raise ValueError("decomposition order must be >= 1")
+        raise InvalidInputError("decomposition order must be >= 1")
     if n > MAX_FORM_ORDER:
         raise CapExceededError(f"decomposition order capped at {MAX_FORM_ORDER}")
     if tol is not None:

@@ -154,8 +154,6 @@ def is_exact(x: Scalar) -> bool:
 
 
 def to_complex(x: Scalar) -> complex:
-    if isinstance(x, GaussianRational):
-        return complex(x)
     return complex(x)
 
 
@@ -218,6 +216,32 @@ def _neumaier_sum(values: list[float]) -> float:
     return total + comp
 
 
+def neumaier_complex_sum(values: Iterable[complex | float]) -> complex:
+    """Neumaier sums of the real and of the imaginary parts, in one pass.
+
+    Takes doubles only (``float`` or ``complex``).  Each part goes through
+    the same recurrence as a real Neumaier sum, so the result equals two
+    separate sums of the parts bit for bit.
+    """
+    re = re_comp = im = im_comp = 0.0
+    for v in values:
+        x = v.real
+        t = re + x
+        if abs(re) >= abs(x):
+            re_comp += (re - t) + x
+        else:
+            re_comp += (x - t) + re
+        re = t
+        y = v.imag
+        t = im + y
+        if abs(im) >= abs(y):
+            im_comp += (im - t) + y
+        else:
+            im_comp += (y - t) + im
+        im = t
+    return complex(re + re_comp, im + im_comp)
+
+
 def stable_sum(values: Iterable[Scalar]) -> Scalar:
     """Sum that is exact over exact scalars and compensated otherwise.
 
@@ -231,10 +255,10 @@ def stable_sum(values: Iterable[Scalar]) -> Scalar:
         for v in vals:
             total = total + v
         return total
-    as_complex = [to_complex(v) for v in vals]
-    re = _neumaier_sum([c.real for c in as_complex])
-    im = _neumaier_sum([c.imag for c in as_complex])
+    if all(isinstance(v, float) for v in vals):
+        return _neumaier_sum(vals)
+    summed = neumaier_complex_sum([to_complex(v) for v in vals])
     if any(isinstance(v, complex) or
            (isinstance(v, GaussianRational) and v.im != 0) for v in vals):
-        return complex(re, im)
-    return re
+        return summed
+    return summed.real

@@ -19,7 +19,7 @@ from typing import Callable, TextIO
 from .histories import HistorySpace, characteristic_function, ones
 from .hopf import classify_primitivity, coderivative_at_identity
 from .interference import (interference_value, overlapping_pair_forms,
-                           probe_order, recursion_holds)
+                           probe_order, recursion_holds, subset_points)
 from .measures import (ClosureMeasure, PolynomialMeasure, QuantumMeasure,
                        TableMeasure, bimodule_action, parity_split,
                        quadratic_even_form)
@@ -44,14 +44,14 @@ def _unit_amplitudes(rng: random.Random, m: int) -> list[complex]:
 
 def _table_measure_over_subset_sums(space, rng, elements,
                                     zero_value=None) -> TableMeasure:
-    """Random rational table covering every subset sum of the elements."""
+    """Random rational table covering every subset sum of the elements.
+
+    Values are drawn in ascending bitmask order of the subsets.
+    """
     values = {}
-    k = len(elements)
-    for bits in range(1, 1 << k):
-        point = space.zero()
-        for i in range(k):
-            if bits >> i & 1:
-                point = point + elements[i]
+    points = sorted(subset_points(space.zero(), elements),
+                    key=lambda entry: entry[0])
+    for _, point in points[1:]:
         if point.coeffs not in values:
             values[point.coeffs] = random_rational(rng)
     if zero_value is not None:

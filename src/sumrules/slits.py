@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping
 
+from .errors import InvalidInputError
 from .histories import HistorySpace, characteristic_function
 from .interference import interference_value
 from .measures import QuantumMeasure, quantum_measure_from_amplitudes
@@ -69,7 +70,7 @@ def build_measure(scenario: SlitScenario) -> QuantumMeasure:
         d_in = _distance(scenario.source, slit)
         d_out = _distance(slit, scenario.detector)
         if d_in == 0.0 or d_out == 0.0:
-            raise ValueError(
+            raise InvalidInputError(
                 "degenerate geometry: slit coincides with source or detector")
         phase = scenario.wavenumber * (d_in + d_out)
         amplitudes.append(norm * cmath.exp(1j * phase))
@@ -114,7 +115,7 @@ def run_sum_rules(scenario: SlitScenario, tol: float = 1e-9) -> SumRuleReport:
     """Probabilities for every blocking pattern plus interference tables."""
     k = scenario.slit_count
     if not 2 <= k <= 6:
-        raise ValueError("sum-rule runs support 2 to 6 slits")
+        raise InvalidInputError("sum-rule runs support 2 to 6 slits")
     mu = build_measure(scenario)
     space = mu.space
     chi = {i: characteristic_function(space.subset([i])) for i in range(k)}

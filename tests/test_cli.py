@@ -179,3 +179,29 @@ def test_run_config_determinism_fields():
     assert cfg.effective_tol == 1e-9
     assert cli.RunConfig(command="ik").effective_tol is None
     assert cli.RunConfig(command="ik", tol=1e-6).effective_tol == 1e-6
+
+
+def test_out_of_domain_options_exit_2(cubic_fixture, tmp_path):
+    measure, args = cubic_fixture
+    assert run(["order", "--measure", measure, "--n", "0"]) == 2
+    assert run(["primitivity", "--fn", measure, "--kmax", "0"]) == 2
+    assert run(["polarize", "--measure", measure, "--args", args,
+                "--n", "2"]) == 2
+    scenario = SlitScenario((0.0, 0.0), tuple((1.0, float(i))
+                                              for i in range(7)),
+                            (2.0, 0.0), 10.0)
+    path = write(tmp_path / "scen7.json", jsonio.scenario_to_json(scenario))
+    assert run(["slits", "--scenario", path]) == 2
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(
+        cubic_fixture, monkeypatch, capsys):
+    measure, args = cubic_fixture
+
+    def broken(cfg):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "ik", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["ik", "--measure", measure, "--args", args])
+    assert "error:" not in capsys.readouterr().err

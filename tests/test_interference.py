@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from sumrules.errors import CapExceededError
 from sumrules.histories import HistorySpace, characteristic_function
-from sumrules.interference import (interference, interference_value,
+from sumrules.hopf import classify_primitivity
+from sumrules.interference import (UNIT_ROUNDOFF, ZERO_FLOOR_FACTOR,
+                                   interference, interference_value,
                                    overlapping_pair_forms, probe_order,
-                                   recursion_holds)
-from sumrules.measures import (PolynomialMeasure, TableMeasure,
-                               quantum_measure_from_amplitudes)
+                                   recursion_holds, vanishes)
+from sumrules.measures import (ClosureMeasure, PolynomialMeasure,
+                               TableMeasure, quantum_measure_from_amplitudes)
 from sumrules.sampling import (random_element, random_rational, random_tuple,
                                sample_family)
 
@@ -258,3 +260,63 @@ def test_probe_order_black_box_exceeding_cap():
                          samples=sample_family(mu_table_space, 3, 20))
     assert report.order is None
     assert report.message == "order > 2 on samples"
+
+
+def _scaled_family(space, scale, seed=11, count=32):
+    """Sample tuples with float coefficients, multiplied by ``scale``."""
+    family = sample_family(space, seed, count)
+
+    def scaled(k):
+        return [tuple(space.element([float(scale * c) for c in a.coeffs])
+                      for a in tup) for tup in family(k)]
+    return scaled
+
+
+def _float_quantum(m, seed=4):
+    rng = random.Random(seed)
+    return quantum_measure_from_amplitudes(
+        [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(m)])
+
+
+@pytest.mark.parametrize("scale", [1, 100, 10 ** 4])
+@pytest.mark.parametrize("wrap", ["quantum", "closure"])
+def test_approx_order_verdicts_do_not_change_with_scale(scale, wrap):
+    # |I_3| of an order-2 measure is pure rounding, which grows with the
+    # arguments; at x1e4 it passes an absolute 1e-9, not the floor that
+    # scales with sum|terms|
+    mu = _float_quantum(6)
+    if wrap == "closure":
+        mu = ClosureMeasure(mu.space, mu)
+    samples = _scaled_family(mu.space, scale)
+    assert probe_order(mu, 4, samples=samples, tol=1e-9).order == 2
+    assert classify_primitivity(mu, 4, samples=samples,
+                                tol=1e-9).order == 2
+
+
+@pytest.mark.parametrize("scale", [1, 100, 10 ** 4])
+def test_approx_order_three_closure_keeps_order_three(scale):
+    quantum = _float_quantum(6)
+    weights = [0.5, -1.25, 2.0, 0.75, -0.5, 1.5]
+
+    def cubic(g):
+        return quantum(g) * sum(w * c for w, c in zip(weights, g.coeffs))
+
+    mu = ClosureMeasure(quantum.space, cubic)
+    samples = _scaled_family(mu.space, scale)
+    assert probe_order(mu, 4, samples=samples, tol=1e-9).order == 3
+    assert classify_primitivity(mu, 4, samples=samples,
+                                tol=1e-9).order == 3
+
+
+def test_zero_floor_scales_with_the_terms():
+    result = interference(_float_quantum(4), [
+        HistorySpace.of_size(4).element([1e4 * c for c in coeffs])
+        for coeffs in ([1, 0, 2, 0], [0, 1, 0, 3], [1, 1, 1, 1])])
+    assert result.magnitude > 1e8
+    floor = ZERO_FLOOR_FACTOR * UNIT_ROUNDOFF * result.magnitude
+    assert vanishes(result.value, result.magnitude, 0.0) == \
+        (abs(result.value) <= floor)
+    assert vanishes(result.value, result.magnitude, 1e-9)
+    assert not vanishes(2 * floor, result.magnitude, 0.0)
+    exact = interference(cubic_fixture(), [SPACE.basis_element(0)] * 3)
+    assert exact.magnitude == 0.0 and not vanishes(exact.value, 0.0, 1e-9)
